@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical kernels:
-// index search, EM mixture-weight fitting, shrunk-summary lookups, the
-// document-frequency posterior, and QBS sampling throughput.
+// index search, EM mixture-weight fitting, shrunk-summary lookups and
+// statistics, the document-frequency posterior, and QBS sampling
+// throughput.
 //
 // In addition to the standard google-benchmark flags, the custom main
 // accepts:
@@ -20,6 +21,7 @@
 #include "fedsearch/corpus/testbed.h"
 #include "fedsearch/sampling/qbs_sampler.h"
 #include "fedsearch/selection/cori.h"
+#include "fedsearch/selection/scoring.h"
 #include "harness/report.h"
 
 namespace fedsearch {
@@ -120,6 +122,22 @@ void BM_ShrunkSummaryLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShrunkSummaryLookup);
+
+// The shrunk-view corpus-statistics build a Metasearcher runs at set-up
+// (and on every live refresh): one ForEachWord dense merge per shrunk
+// summary plus the cf(w) map.
+void BM_ShrunkStatisticsBuild(benchmark::State& state) {
+  const core::Metasearcher& meta = MicroMetasearcher();
+  std::vector<const summary::SummaryView*> shrunk;
+  for (size_t i = 0; i < meta.num_databases(); ++i) {
+    shrunk.push_back(&meta.shrunk_summary(i));
+  }
+  for (auto _ : state) {
+    const selection::ScoringStatisticsCache cache(shrunk);
+    benchmark::DoNotOptimize(cache.vocabulary_size());
+  }
+}
+BENCHMARK(BM_ShrunkStatisticsBuild)->Unit(benchmark::kMillisecond);
 
 void BM_DocFrequencyPosteriorSample(benchmark::State& state) {
   core::DocFrequencyPosterior posterior(/*sample_df=*/3, /*sample_size=*/300,

@@ -1,28 +1,41 @@
 #include "fedsearch/core/hierarchy_summaries.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 namespace fedsearch::core {
 
-SubtractedSummary::SubtractedSummary(const summary::SummaryView* minuend,
-                                     const summary::SummaryView* subtrahend)
-    : minuend_(minuend), subtrahend_(subtrahend) {}
+SubtractedSummary::SubtractedSummary(
+    const summary::SummaryView* minuend, const WordColumn* minuend_words,
+    const summary::SummaryView* subtrahend,
+    const WordColumn* subtrahend_words,
+    const std::vector<const std::string*>* vocabulary)
+    : minuend_(minuend),
+      minuend_words_(minuend_words),
+      subtrahend_(subtrahend),
+      subtrahend_words_(subtrahend_words),
+      vocabulary_(vocabulary) {}
 
 double SubtractedSummary::num_documents() const {
+  if (subtrahend_ == nullptr) return minuend_->num_documents();
   return std::max(0.0, minuend_->num_documents() -
                            subtrahend_->num_documents());
 }
 
 double SubtractedSummary::total_tokens() const {
+  if (subtrahend_ == nullptr) return minuend_->total_tokens();
   return std::max(0.0, minuend_->total_tokens() - subtrahend_->total_tokens());
 }
 
 double SubtractedSummary::DocFrequency(const std::string& word) const {
+  if (subtrahend_ == nullptr) return minuend_->DocFrequency(word);
   return std::max(0.0,
                   minuend_->DocFrequency(word) - subtrahend_->DocFrequency(word));
 }
 
 double SubtractedSummary::TokenFrequency(const std::string& word) const {
+  if (subtrahend_ == nullptr) return minuend_->TokenFrequency(word);
   return std::max(0.0, minuend_->TokenFrequency(word) -
                            subtrahend_->TokenFrequency(word));
 }
@@ -30,18 +43,14 @@ double SubtractedSummary::TokenFrequency(const std::string& word) const {
 void SubtractedSummary::ForEachWord(
     const std::function<void(const std::string&, const summary::WordStats&)>&
         fn) const {
-  minuend_->ForEachWord(
-      [&](const std::string& word, const summary::WordStats& stats) {
-        const summary::WordStats out{
-            std::max(0.0, stats.df - subtrahend_->DocFrequency(word)),
-            std::max(0.0, stats.ctf - subtrahend_->TokenFrequency(word))};
-        if (out.df > 0.0 || out.ctf > 0.0) fn(word, out);
-      });
+  ForEachId([&](uint32_t id, const summary::WordStats& stats) {
+    fn(*(*vocabulary_)[id], stats);
+  });
 }
 
 size_t SubtractedSummary::vocabulary_size() const {
   size_t n = 0;
-  ForEachWord([&](const std::string&, const summary::WordStats&) { ++n; });
+  ForEachId([&](uint32_t, const summary::WordStats&) { ++n; });
   return n;
 }
 
@@ -82,6 +91,41 @@ HierarchySummaries::HierarchySummaries(
 
   const size_t vocab = aggregates_[0].vocabulary_size();
   uniform_probability_ = vocab > 0 ? 1.0 / static_cast<double>(vocab) : 0.0;
+
+  // Intern the federation vocabulary: the root aggregate's keys, ids in
+  // its iteration order (a function of the inputs alone).
+  std::unordered_map<std::string_view, uint32_t> ids;
+  ids.reserve(vocab);
+  vocabulary_.reserve(vocab);
+  for (const auto& [word, stats] : aggregates_[0].words()) {
+    ids.emplace(word, static_cast<uint32_t>(vocabulary_.size()));
+    vocabulary_.push_back(&word);
+  }
+  const auto column_of = [&ids](const summary::ContentSummary& s) {
+    WordColumn column;
+    column.reserve(s.vocabulary_size());
+    for (const auto& [word, stats] : s.words()) {
+      column.push_back(InternedWord{ids.at(word), stats});
+    }
+    std::sort(column.begin(), column.end(),
+              [](const InternedWord& a, const InternedWord& b) {
+                return a.id < b.id;
+              });
+    return column;
+  };
+  aggregate_words_.reserve(nodes);
+  for (const summary::ContentSummary& agg : aggregates_) {
+    aggregate_words_.push_back(column_of(agg));
+  }
+  database_words_.reserve(database_summaries_.size());
+  database_views_.reserve(database_summaries_.size());
+  for (const summary::ContentSummary* s : database_summaries_) {
+    database_words_.push_back(column_of(*s));
+  }
+  for (size_t i = 0; i < database_summaries_.size(); ++i) {
+    database_views_.emplace_back(database_summaries_[i], &database_words_[i],
+                                 nullptr, nullptr, &vocabulary_);
+  }
 }
 
 const SubtractedSummary& HierarchySummaries::ExclusiveOfChild(
@@ -90,9 +134,13 @@ const SubtractedSummary& HierarchySummaries::ExclusiveOfChild(
   auto it = edge_exclusive_.find(key);
   if (it == edge_exclusive_.end()) {
     it = edge_exclusive_
-             .emplace(key, SubtractedSummary(
-                               &aggregates_[static_cast<size_t>(category)],
-                               &aggregates_[static_cast<size_t>(child_on_path)]))
+             .emplace(key,
+                      SubtractedSummary(
+                          &aggregates_[static_cast<size_t>(category)],
+                          &aggregate_words_[static_cast<size_t>(category)],
+                          &aggregates_[static_cast<size_t>(child_on_path)],
+                          &aggregate_words_[static_cast<size_t>(child_on_path)],
+                          &vocabulary_))
              .first;
   }
   return it->second;
@@ -106,7 +154,9 @@ const SubtractedSummary& HierarchySummaries::ExclusiveOfDatabase(
     it = database_exclusive_
              .emplace(key, SubtractedSummary(
                                &aggregates_[static_cast<size_t>(category)],
-                               database_summaries_[db_index]))
+                               &aggregate_words_[static_cast<size_t>(category)],
+                               database_summaries_[db_index],
+                               &database_words_[db_index], &vocabulary_))
              .first;
   }
   return it->second;

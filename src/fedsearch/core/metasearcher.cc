@@ -74,8 +74,14 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   }
   shrinkage_ = std::make_unique<ShrinkageModel>(
       hierarchy_summaries_.get(), std::move(sample_sizes), options_.shrinkage);
+  std::vector<const summary::ContentSummary*> category_ptrs;
+  category_ptrs.reserve(hierarchy_->size());
+  for (size_t c = 0; c < hierarchy_->size(); ++c) {
+    category_ptrs.push_back(
+        &hierarchy_summaries_->aggregate(static_cast<corpus::CategoryId>(c)));
+  }
   hierarchical_ = std::make_unique<selection::HierarchicalSelector>(
-      hierarchy_, summary_ptrs, classifications_);
+      hierarchy_, summary_ptrs, classifications_, std::move(category_ptrs));
 
   // Serving-layer state: the samples and shrunk summaries are immutable
   // for this snapshot's lifetime, so the corpus statistics are computed

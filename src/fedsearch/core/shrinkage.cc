@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 
 #include "fedsearch/util/check.h"
 #include "fedsearch/util/metrics.h"
@@ -12,7 +11,7 @@
 namespace fedsearch::core {
 
 ShrunkSummary::ShrunkSummary(
-    std::vector<const summary::SummaryView*> components,
+    std::vector<const SubtractedSummary*> components,
     std::vector<double> lambdas, double uniform_probability)
     : components_(std::move(components)),
       lambdas_(std::move(lambdas)),
@@ -33,6 +32,10 @@ ShrunkSummary::ShrunkSummary(
       << " lambdas sum to " << sum << " after EM";
   FEDSEARCH_CHECK(uniform_probability_ >= 0.0 &&
                   uniform_probability_ <= 1.0);
+  for (const SubtractedSummary* c : components_) {
+    FEDSEARCH_CHECK(&c->vocabulary() == &components_.back()->vocabulary())
+        << " components interned over different vocabularies";
+  }
 }
 
 double ShrunkSummary::num_documents() const {
@@ -74,52 +77,46 @@ double ShrunkSummary::TokenFrequency(const std::string& word) const {
 void ShrunkSummary::ForEachWord(
     const std::function<void(const std::string&, const summary::WordStats&)>&
         fn) const {
-  // Union over the component vocabularies, computed in a single
-  // accumulation pass (one hash probe per component word) instead of
-  // re-querying every component per word. The uniform C0 assigns mass to
-  // every conceivable word and is by construction not enumerable; it only
-  // contributes to the probabilities of enumerated words.
-  struct Probs {
-    double doc = 0.0;
-    double token = 0.0;
-  };
-  std::unordered_map<std::string, Probs> acc;
+  const std::vector<const std::string*>& words =
+      components_.back()->vocabulary();
+  // Per-call scratch, so concurrent callers never share it. Each word's
+  // sums start at λ0·u and take the components in order, exactly as
+  // MixtureProbDoc/MixtureProbToken do; a component lacking the word adds
+  // λ·0 there, which leaves the sum unchanged.
+  const double uniform = lambdas_[0] * uniform_probability_;
+  std::vector<double> doc(words.size(), uniform);
+  std::vector<double> token(words.size(), uniform);
+  std::vector<uint8_t> emitted(words.size(), 0);
   for (size_t i = 0; i < components_.size(); ++i) {
-    const summary::SummaryView* component = components_[i];
     const double lambda = lambdas_[i + 1];
-    const double n = component->num_documents();
-    const double tokens = component->total_tokens();
+    const double n = components_[i]->num_documents();
+    const double tokens = components_[i]->total_tokens();
     if (lambda <= 0.0 || n <= 0.0) continue;
-    component->ForEachWord(
-        [&](const std::string& word, const summary::WordStats& stats) {
-          Probs& p = acc[word];
-          p.doc += lambda * std::min(1.0, stats.df / n);
+    components_[i]->ForEachId(
+        [&](uint32_t id, const summary::WordStats& stats) {
+          doc[id] += lambda * summary::DocProbability(stats.df, n);
           if (tokens > 0.0) {
-            p.token += lambda * std::min(1.0, stats.ctf / tokens);
+            token[id] += lambda * std::min(1.0, stats.ctf / tokens);
           }
+          emitted[id] = 1;
         });
   }
-  const double uniform = lambdas_[0] * uniform_probability_;
   const double n = num_documents();
   const double tokens = total_tokens();
-  // ORDER-INDEPENDENT: emission order is a function of `acc`'s contents,
-  // which are schedule-independent; consumers (summary builders, metrics)
-  // accumulate per-word state, not order-sensitive float reductions.
-  for (const auto& [word, probs] : acc) {
-    fn(word, summary::WordStats{std::min(1.0, probs.doc + uniform) * n,
-                                std::min(1.0, probs.token + uniform) * tokens});
+  for (size_t id = 0; id < words.size(); ++id) {
+    if (emitted[id] == 0) continue;
+    fn(*words[id], summary::WordStats{std::min(1.0, doc[id]) * n,
+                                      std::min(1.0, token[id]) * tokens});
   }
 }
 
 size_t ShrunkSummary::vocabulary_size() const {
-  std::unordered_set<std::string> words;
-  for (const summary::SummaryView* component : components_) {
-    component->ForEachWord(
-        [&](const std::string& word, const summary::WordStats&) {
-          words.insert(word);
-        });
+  std::vector<uint8_t> seen(components_.back()->vocabulary().size(), 0);
+  for (const SubtractedSummary* component : components_) {
+    component->ForEachId(
+        [&](uint32_t id, const summary::WordStats&) { seen[id] = 1; });
   }
-  return words.size();
+  return static_cast<size_t>(std::count(seen.begin(), seen.end(), 1));
 }
 
 std::vector<double> FitMixtureWeights(
@@ -240,7 +237,7 @@ ShrinkageModel::ShrinkageModel(const HierarchySummaries* hierarchy_summaries,
     // Level components, each exclusive of the data the next level uses
     // (Definition 4's footnote): aggregate(Ci) − aggregate(Ci+1), and at
     // the classification node, aggregate(Cm) − S(D).
-    std::vector<const summary::SummaryView*> components;
+    std::vector<const SubtractedSummary*> components;
     components.reserve(path.size() + 1);
     for (size_t i = 0; i < path.size(); ++i) {
       if (i + 1 < path.size()) {
@@ -250,7 +247,7 @@ ShrinkageModel::ShrinkageModel(const HierarchySummaries* hierarchy_summaries,
         components.push_back(&summaries_->ExclusiveOfDatabase(path[i], db));
       }
     }
-    components.push_back(&summaries_->database_summary(db));
+    components.push_back(&summaries_->DatabaseView(db));
 
     const size_t sample_size =
         db < sample_sizes.size() ? sample_sizes[db] : 0;

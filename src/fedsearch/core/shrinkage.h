@@ -27,13 +27,21 @@ struct ShrinkageOptions {
 // DocFrequency/TokenFrequency report p̂_R scaled by the database's
 // estimated size, so selection algorithms consume shrunk and unshrunk
 // summaries through the same interface.
+//
+// ForEachWord merges the components' interned id columns into dense
+// per-call buffers, in MixtureProbDoc/MixtureProbToken's own order (start
+// at λ0·u, add the components in order), so every emitted value equals the
+// point lookup bit for bit. It emits the words of the components with
+// positive weight and size; the uniform C0 gives every conceivable word
+// mass and is by construction not enumerable.
 class ShrunkSummary : public summary::SummaryView {
  public:
   // components[i] pairs with lambdas[i + 1]; lambdas[0] is the uniform
   // category's weight and lambdas.back() the database's own. The last
-  // component must be the database summary itself. All referenced views
-  // must outlive this object.
-  ShrunkSummary(std::vector<const summary::SummaryView*> components,
+  // component must be the database summary itself, and all components
+  // must share one interned vocabulary. All referenced views must outlive
+  // this object.
+  ShrunkSummary(std::vector<const SubtractedSummary*> components,
                 std::vector<double> lambdas, double uniform_probability);
 
   double num_documents() const override;
@@ -54,8 +62,8 @@ class ShrunkSummary : public summary::SummaryView {
  private:
   double MixtureProbToken(const std::string& word) const;
 
-  std::vector<const summary::SummaryView*> components_;  // C1..Cm, then D
-  std::vector<double> lambdas_;                          // C0, C1..Cm, D
+  std::vector<const SubtractedSummary*> components_;  // C1..Cm, then D
+  std::vector<double> lambdas_;                       // C0, C1..Cm, D
   double uniform_probability_;
 };
 

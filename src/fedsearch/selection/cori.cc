@@ -33,18 +33,16 @@ size_t CollectionFrequency(const std::string& word,
 }
 
 // Belief of one term given a raw document frequency `df_raw` out of
-// `num_docs` documents. Replicates SummaryView::ProbDoc / ContainsRounded
-// arithmetic exactly (p = min(1, df/n) clamped at n <= 0, presence =
-// round(n·p) >= 1) so the value is bit-identical whether the df comes from
-// the summary itself or from a Monte-Carlo override.
+// `num_docs` documents. Presence and p̂ come from the summary layer's
+// CountsAsPresent / DocProbability on (df, |D|), so the value is
+// bit-identical whether the df comes from the summary itself or from a
+// Monte-Carlo override.
 double TermBelief(const std::string& word, double df_raw, double num_docs,
                   double cw, double mcw, double m,
                   const ScoringContext& context) {
   double belief = kBeliefFloor;
-  const double p =
-      num_docs <= 0.0 ? 0.0 : std::min(1.0, df_raw / num_docs);
-  if (std::lround(num_docs * p) >= 1) {
-    const double df = p * num_docs;
+  if (summary::CountsAsPresent(df_raw, num_docs)) {
+    const double df = summary::DocProbability(df_raw, num_docs) * num_docs;
     const double t = df / (df + 50.0 + 150.0 * cw / mcw);
     const size_t cf = std::max<size_t>(1, CollectionFrequency(word, context));
     const double i =
@@ -129,10 +127,8 @@ void CoriScorer::TermContributionTable(const Query& query, size_t term_index,
       std::log((m + 0.5) / static_cast<double>(cf)) / std::log(m + 1.0);
   for (size_t g = 0; g < count; ++g) {
     double belief = kBeliefFloor;
-    const double p =
-        num_docs <= 0.0 ? 0.0 : std::min(1.0, dfs[g] / num_docs);
-    if (std::lround(num_docs * p) >= 1) {
-      const double df = p * num_docs;
+    if (summary::CountsAsPresent(dfs[g], num_docs)) {
+      const double df = summary::DocProbability(dfs[g], num_docs) * num_docs;
       const double t = df / (df + 50.0 + cw_term);
       belief += 0.6 * t * i;
     }

@@ -24,12 +24,16 @@ namespace fedsearch::selection {
 class HierarchicalSelector {
  public:
   // `hierarchy` must outlive the selector. `summaries[i]` is database i's
-  // (unshrunk) content summary and `classifications[i]` its category. The
-  // summaries must outlive the selector; category summaries are aggregated
-  // at construction.
-  HierarchicalSelector(const corpus::TopicHierarchy* hierarchy,
-                       std::vector<const summary::ContentSummary*> summaries,
-                       std::vector<corpus::CategoryId> classifications);
+  // (unshrunk) content summary and `classifications[i]` its category.
+  // `category_summaries[n]` is node n's category summary over its whole
+  // subtree (Definition 3) — core::HierarchySummaries::aggregate(n), which
+  // the shrinkage model already builds. All summaries must outlive the
+  // selector.
+  HierarchicalSelector(
+      const corpus::TopicHierarchy* hierarchy,
+      std::vector<const summary::ContentSummary*> summaries,
+      std::vector<corpus::CategoryId> classifications,
+      std::vector<const summary::ContentSummary*> category_summaries);
 
   // Returns up to k databases for the query, most promising first.
   std::vector<RankedDatabase> Select(const Query& query, size_t k,
@@ -46,7 +50,7 @@ class HierarchicalSelector {
   std::vector<const summary::ContentSummary*> summaries_;
   std::vector<corpus::CategoryId> classifications_;
   // Aggregated category summary per node (over the node's whole subtree).
-  std::vector<summary::ContentSummary> category_summaries_;
+  std::vector<const summary::ContentSummary*> category_summaries_;
   // Databases classified exactly at each node.
   std::vector<std::vector<size_t>> databases_at_;
   // Number of databases in each node's subtree.

@@ -89,11 +89,14 @@ ScoringStatisticsCache::ScoringStatisticsCache(
   if (mean_cw_ <= 0.0) mean_cw_ = 1.0;
 
   for (const summary::SummaryView* s : summaries) {
-    // ContainsRounded (not the raw enumerated df) so trimming semantics —
-    // CORI's cf(w) fix for shrunk summaries — match query-time checks.
-    s->ForEachWord([&](const std::string& word, const summary::WordStats&) {
-      if (s->ContainsRounded(word)) ++cf_[word];
-    });
+    // Presence from the enumerated df: ForEachWord emits exactly
+    // DocFrequency's value, so this is the query-time ContainsRounded
+    // (CORI's trimmed cf(w) for shrunk summaries) without a second lookup.
+    const double n = s->num_documents();
+    s->ForEachWord(
+        [&](const std::string& word, const summary::WordStats& stats) {
+          if (summary::CountsAsPresent(stats.df, n)) ++cf_[word];
+        });
   }
 }
 
@@ -118,19 +121,19 @@ ScoringStatisticsCache ScoringStatisticsCache::Rebuilt(
     // Integer counts, so the result is order-independent and exactly what
     // a fresh scan over `summaries` would produce; entries reaching 0 are
     // erased so the maps (and vocabulary_size()) match the scan exactly.
-    const summary::SummaryView* old_s = prior_summaries[i];
-    old_s->ForEachWord(
-        [&](const std::string& word, const summary::WordStats&) {
-          if (!old_s->ContainsRounded(word)) return;
+    const double old_n = prior_summaries[i]->num_documents();
+    prior_summaries[i]->ForEachWord(
+        [&](const std::string& word, const summary::WordStats& stats) {
+          if (!summary::CountsAsPresent(stats.df, old_n)) return;
           auto it = next.cf_.find(word);
           FEDSEARCH_DCHECK(it != next.cf_.end() && it->second > 0)
               << " cf underflow for word retracted by database " << i;
           if (--it->second == 0) next.cf_.erase(it);
         });
-    const summary::SummaryView* new_s = summaries[i];
-    new_s->ForEachWord(
-        [&](const std::string& word, const summary::WordStats&) {
-          if (new_s->ContainsRounded(word)) ++next.cf_[word];
+    const double new_n = summaries[i]->num_documents();
+    summaries[i]->ForEachWord(
+        [&](const std::string& word, const summary::WordStats& stats) {
+          if (summary::CountsAsPresent(stats.df, new_n)) ++next.cf_[word];
         });
   }
   // Index-order full recompute, NOT an incremental ± of the changed

@@ -54,11 +54,17 @@ void PrepareContextForQuery(const Query& query, ScoringContext& context);
 // summary vector exactly: cf(w) counts summaries with ContainsRounded(w)
 // (integer, hence identical), and mean_cw sums total_tokens() in index
 // order (the same floating-point reduction order, hence bit-identical).
+// cf(w) is read from each summary's ForEachWord: its exact-emission
+// contract (emitted df == DocFrequency) makes CountsAsPresent on the
+// emitted df the same test as ContainsRounded.
 class ScoringStatisticsCache {
  public:
   ScoringStatisticsCache() = default;
 
-  // Scans every summary's vocabulary once: O(databases × vocabulary).
+  // One ForEachWord pass per summary, one cf update per present word. A
+  // shrunk summary enumerates by a dense merge over the federation's
+  // interned vocabulary (core::ShrunkSummary), so no view is re-queried
+  // per word.
   explicit ScoringStatisticsCache(
       const std::vector<const summary::SummaryView*>& summaries);
 

@@ -8,7 +8,7 @@ namespace fedsearch::summary {
 double SummaryView::ProbDoc(const std::string& word) const {
   const double n = num_documents();
   if (n <= 0.0) return 0.0;
-  return std::min(1.0, DocFrequency(word) / n);
+  return DocProbability(DocFrequency(word), n);
 }
 
 double SummaryView::ProbToken(const std::string& word) const {
@@ -18,7 +18,7 @@ double SummaryView::ProbToken(const std::string& word) const {
 }
 
 bool SummaryView::ContainsRounded(const std::string& word) const {
-  return std::lround(num_documents() * ProbDoc(word)) >= 1;
+  return CountsAsPresent(DocFrequency(word), num_documents());
 }
 
 double ContentSummary::DocFrequency(const std::string& word) const {
@@ -59,10 +59,7 @@ ContentSummary ContentSummary::Materialize(const SummaryView& view,
   out.set_num_documents(view.num_documents());
   const double n = view.num_documents();
   view.ForEachWord([&](const std::string& word, const WordStats& stats) {
-    if (trim) {
-      const double p = n > 0.0 ? std::min(1.0, stats.df / n) : 0.0;
-      if (std::lround(n * p) < 1) return;
-    }
+    if (trim && !CountsAsPresent(stats.df, n)) return;
     out.SetWord(word, stats);
   });
   return out;

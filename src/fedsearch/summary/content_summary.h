@@ -1,6 +1,8 @@
 #ifndef FEDSEARCH_SUMMARY_CONTENT_SUMMARY_H_
 #define FEDSEARCH_SUMMARY_CONTENT_SUMMARY_H_
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -20,6 +22,21 @@ struct WordStats {
   double df = 0.0;
   double ctf = 0.0;
 };
+
+// p̂(w|D) of Definition 2 from a document frequency: df / |D| clamped to
+// [0, 1], and 0 for a summary with no documents.
+inline double DocProbability(double df, double num_documents) {
+  return num_documents <= 0.0 ? 0.0 : std::min(1.0, df / num_documents);
+}
+
+// The trimming rule of Sections 5.3 and 6.1: a word with document
+// frequency `df` "counts as present" in a summary of `num_documents`
+// documents iff round(|D|·p̂(w|D)) >= 1. The one implementation of the
+// rule; every presence test (query-time lookups, CORI's beliefs, corpus
+// statistics, trimmed materialization) calls it.
+inline bool CountsAsPresent(double df, double num_documents) {
+  return std::lround(num_documents * DocProbability(df, num_documents)) >= 1;
+}
 
 // Read-only interface over any content summary — concrete (sampled, true,
 // category) or lazily-shrunk (core/shrunk_summary.h). Database selection
@@ -41,7 +58,10 @@ class SummaryView {
   // Estimated collection term frequency of `word` (0 if absent).
   virtual double TokenFrequency(const std::string& word) const = 0;
 
-  // Calls fn(word, stats) for every word with a non-zero estimate.
+  // Calls fn(word, stats) for every word with a non-zero estimate, each
+  // word once. Exact-emission contract: stats.df and stats.ctf equal
+  // DocFrequency(word) and TokenFrequency(word) bit for bit, so a consumer
+  // may decide presence (CountsAsPresent) from the emitted df alone.
   virtual void ForEachWord(
       const std::function<void(const std::string&, const WordStats&)>& fn)
       const = 0;
@@ -56,8 +76,8 @@ class SummaryView {
   // LM-style token probability p̂(w|D) = tf(w,D) / Σ tf (Section 5.3).
   double ProbToken(const std::string& word) const;
 
-  // Whether the word "counts as present": round(|D|·p̂(w|D)) >= 1, the
-  // trimming rule of Sections 5.3 and 6.1.
+  // Whether the word "counts as present": CountsAsPresent on its
+  // DocFrequency.
   bool ContainsRounded(const std::string& word) const;
 };
 

@@ -107,10 +107,37 @@ TEST_F(HierarchySummariesTest, SubtractedSummaryIterationSkipsZeroedWords) {
 
 TEST_F(HierarchySummariesTest, SubtractedTotalsClampAtZero) {
   // Subtracting a view from itself yields an all-zero summary.
-  SubtractedSummary self(&hs_->aggregate(heart_), &hs_->aggregate(heart_));
+  const SubtractedSummary& self = hs_->ExclusiveOfChild(heart_, heart_);
   EXPECT_DOUBLE_EQ(self.num_documents(), 0.0);
   EXPECT_DOUBLE_EQ(self.total_tokens(), 0.0);
   EXPECT_EQ(self.vocabulary_size(), 0u);
+}
+
+TEST_F(HierarchySummariesTest, DatabaseViewIsTheSummaryItself) {
+  const SubtractedSummary& view = hs_->DatabaseView(1);
+  EXPECT_DOUBLE_EQ(view.num_documents(), 300.0);
+  EXPECT_DOUBLE_EQ(view.total_tokens(), dbs_[1].total_tokens());
+  EXPECT_DOUBLE_EQ(view.DocFrequency("hypertension"), 30.0);
+  EXPECT_DOUBLE_EQ(view.TokenFrequency("cardiac"), 90.0);
+  EXPECT_EQ(view.vocabulary_size(), 2u);
+}
+
+TEST_F(HierarchySummariesTest, IdEnumerationAscendsOverTheRootVocabulary) {
+  // One id per union word, naming the root aggregate's keys.
+  const auto& vocabulary = hs_->DatabaseView(0).vocabulary();
+  ASSERT_EQ(vocabulary.size(), hs_->root_aggregate().vocabulary_size());
+  for (const std::string* word : vocabulary) {
+    EXPECT_GT(hs_->root_aggregate().DocFrequency(*word), 0.0) << *word;
+  }
+  const auto& excl = hs_->ExclusiveOfChild(hierarchy_.root(), health_);
+  uint32_t last = 0;
+  size_t count = 0;
+  excl.ForEachId([&](uint32_t id, const summary::WordStats& stats) {
+    if (count++ > 0) EXPECT_GT(id, last);
+    last = id;
+    EXPECT_EQ(stats.df, excl.DocFrequency(*vocabulary[id]));
+  });
+  EXPECT_EQ(count, 1u);  // goal: Root minus Health is db3 alone
 }
 
 TEST_F(HierarchySummariesTest, EmptyCategoryAggregatesToEmpty) {

@@ -5,6 +5,8 @@
 #include "fedsearch/sampling/qbs_sampler.h"
 #include "fedsearch/selection/bgloss.h"
 #include "fedsearch/selection/cori.h"
+#include "fedsearch/selection/hierarchical.h"
+#include "fedsearch/selection/lm.h"
 #include "testing/small_testbed.h"
 
 namespace fedsearch::core {
@@ -244,6 +246,73 @@ TEST_F(MetasearcherTest, HierarchicalSelectionReturnsAtMostK) {
   const selection::Query q{bed.analyzer().Analyze(bed.queries()[0].text)};
   const auto ranking = meta_->SelectHierarchical(q, cori, 5);
   EXPECT_LE(ranking.size(), 5u);
+}
+
+TEST_F(MetasearcherTest, HierarchicalSelectionUsesTheSubtreeAggregates) {
+  // Reference: the selector over category summaries aggregated here,
+  // bottom-up per Definition 3 (databases at the node, then the children
+  // in order) — independently of the HierarchySummaries the Metasearcher
+  // hands its selector.
+  const corpus::Testbed& bed = SharedSmallTestbed();
+  const corpus::TopicHierarchy& h = bed.hierarchy();
+  std::vector<summary::ContentSummary> aggregates(h.size());
+  for (size_t n = h.size(); n-- > 0;) {
+    std::vector<const summary::ContentSummary*> parts;
+    for (size_t i = 0; i < meta_->num_databases(); ++i) {
+      if (static_cast<size_t>(meta_->classification(i)) == n) {
+        parts.push_back(&meta_->plain_summary(i));
+      }
+    }
+    summary::ContentSummary agg =
+        summary::ContentSummary::AggregateCategory(parts);
+    for (corpus::CategoryId c : h.node(static_cast<corpus::CategoryId>(n))
+                                    .children) {
+      const summary::ContentSummary& child =
+          aggregates[static_cast<size_t>(c)];
+      child.ForEachWord(
+          [&](const std::string& w, const summary::WordStats& stats) {
+            agg.AddWord(w, stats);
+          });
+      agg.set_num_documents(agg.num_documents() + child.num_documents());
+    }
+    aggregates[n] = std::move(agg);
+  }
+  std::vector<const summary::ContentSummary*> databases;
+  std::vector<corpus::CategoryId> classifications;
+  for (size_t i = 0; i < meta_->num_databases(); ++i) {
+    databases.push_back(&meta_->plain_summary(i));
+    classifications.push_back(meta_->classification(i));
+  }
+  std::vector<const summary::ContentSummary*> categories;
+  for (const summary::ContentSummary& agg : aggregates) {
+    categories.push_back(&agg);
+  }
+  const selection::HierarchicalSelector reference(&h, databases,
+                                                  classifications, categories);
+
+  selection::CoriScorer cori;
+  selection::BglossScorer bgloss;
+  selection::LmScorer lm;
+  size_t selected = 0;
+  for (const corpus::TestQuery& tq : bed.queries()) {
+    const selection::Query q{bed.analyzer().Analyze(tq.text)};
+    for (const selection::ScoringFunction* scorer :
+         {static_cast<const selection::ScoringFunction*>(&cori),
+          static_cast<const selection::ScoringFunction*>(&bgloss),
+          static_cast<const selection::ScoringFunction*>(&lm)}) {
+      for (size_t k : {1u, 3u, 12u}) {
+        const auto want = reference.Select(q, k, *scorer);
+        const auto got = meta_->SelectHierarchical(q, *scorer, k);
+        ASSERT_EQ(got.size(), want.size()) << tq.text << " k=" << k;
+        for (size_t r = 0; r < got.size(); ++r) {
+          EXPECT_EQ(got[r].database, want[r].database);
+          EXPECT_EQ(got[r].score, want[r].score);
+        }
+        selected += got.size();
+      }
+    }
+  }
+  EXPECT_GT(selected, 0u);
 }
 
 }  // namespace

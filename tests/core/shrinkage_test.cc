@@ -20,57 +20,73 @@ summary::ContentSummary MakeDb(
 
 // ----------------------------------------------------------- ShrunkSummary
 
+// One category component C (the category's data without D) and the
+// database D, built as the interned views a ShrinkageModel mixes: both
+// databases sit in one category, so aggregate(Cat) − S(D) is exactly C.
 class ShrunkSummaryTest : public ::testing::Test {
  protected:
   ShrunkSummaryTest()
-      : category_(MakeDb(1000, {{"shared", 400, 600}, {"cat-only", 100, 150}})),
-        db_(MakeDb(100, {{"shared", 30, 60}, {"db-only", 10, 20}})),
-        shrunk_({&category_, &db_}, {0.1, 0.4, 0.5}, /*uniform=*/0.001) {}
+      : hierarchy_("Root"),
+        category_(MakeDb(1000, {{"shared", 400, 600}, {"cat-only", 100, 150}})),
+        db_(MakeDb(100, {{"shared", 30, 60}, {"db-only", 10, 20}})) {
+    const corpus::CategoryId cat = hierarchy_.AddCategory("Cat",
+                                                          hierarchy_.root());
+    hs_ = std::make_unique<HierarchySummaries>(
+        &hierarchy_,
+        std::vector<const summary::ContentSummary*>{&category_, &db_},
+        std::vector<corpus::CategoryId>{cat, cat});
+    shrunk_ = std::make_unique<ShrunkSummary>(
+        std::vector<const SubtractedSummary*>{
+            &hs_->ExclusiveOfDatabase(cat, 1), &hs_->DatabaseView(1)},
+        std::vector<double>{0.1, 0.4, 0.5}, /*uniform=*/0.001);
+  }
 
+  corpus::TopicHierarchy hierarchy_;
   summary::ContentSummary category_;
   summary::ContentSummary db_;
-  ShrunkSummary shrunk_;
+  std::unique_ptr<HierarchySummaries> hs_;
+  std::unique_ptr<ShrunkSummary> shrunk_;
 };
 
 TEST_F(ShrunkSummaryTest, MixtureProbMatchesDefinition4) {
   // p̂_R(w|D) = λ0·u + λ1·p̂(w|C) + λ2·p̂(w|D).
-  EXPECT_NEAR(shrunk_.MixtureProbDoc("shared"),
+  EXPECT_NEAR(shrunk_->MixtureProbDoc("shared"),
               0.1 * 0.001 + 0.4 * 0.4 + 0.5 * 0.3, 1e-12);
-  EXPECT_NEAR(shrunk_.MixtureProbDoc("cat-only"),
+  EXPECT_NEAR(shrunk_->MixtureProbDoc("cat-only"),
               0.1 * 0.001 + 0.4 * 0.1, 1e-12);
-  EXPECT_NEAR(shrunk_.MixtureProbDoc("db-only"),
+  EXPECT_NEAR(shrunk_->MixtureProbDoc("db-only"),
               0.1 * 0.001 + 0.5 * 0.1, 1e-12);
   // Unknown words still get the uniform floor: "every word in any content
   // summary" has non-zero probability (Section 5.3).
-  EXPECT_NEAR(shrunk_.MixtureProbDoc("never-seen"), 0.1 * 0.001, 1e-15);
+  EXPECT_NEAR(shrunk_->MixtureProbDoc("never-seen"), 0.1 * 0.001, 1e-15);
 }
 
 TEST_F(ShrunkSummaryTest, SizeComesFromDatabase) {
-  EXPECT_DOUBLE_EQ(shrunk_.num_documents(), 100.0);
-  EXPECT_DOUBLE_EQ(shrunk_.total_tokens(), 80.0);
+  EXPECT_DOUBLE_EQ(shrunk_->num_documents(), 100.0);
+  EXPECT_DOUBLE_EQ(shrunk_->total_tokens(), 80.0);
 }
 
 TEST_F(ShrunkSummaryTest, DocFrequencyScalesMixture) {
-  EXPECT_NEAR(shrunk_.DocFrequency("db-only"),
-              shrunk_.MixtureProbDoc("db-only") * 100.0, 1e-12);
+  EXPECT_NEAR(shrunk_->DocFrequency("db-only"),
+              shrunk_->MixtureProbDoc("db-only") * 100.0, 1e-12);
 }
 
 TEST_F(ShrunkSummaryTest, ForEachWordCoversUnionOnce) {
   size_t count = 0;
   bool saw_cat_only = false;
-  shrunk_.ForEachWord([&](const std::string& w, const summary::WordStats& s) {
+  shrunk_->ForEachWord([&](const std::string& w, const summary::WordStats& s) {
     ++count;
     saw_cat_only |= w == "cat-only";
     EXPECT_GT(s.df, 0.0);
   });
   EXPECT_EQ(count, 3u);  // shared, cat-only, db-only
   EXPECT_TRUE(saw_cat_only);
-  EXPECT_EQ(shrunk_.vocabulary_size(), 3u);
+  EXPECT_EQ(shrunk_->vocabulary_size(), 3u);
 }
 
 TEST_F(ShrunkSummaryTest, LambdasAccessible) {
-  EXPECT_EQ(shrunk_.lambdas().size(), 3u);
-  EXPECT_DOUBLE_EQ(shrunk_.lambdas()[0], 0.1);
+  EXPECT_EQ(shrunk_->lambdas().size(), 3u);
+  EXPECT_DOUBLE_EQ(shrunk_->lambdas()[0], 0.1);
 }
 
 // -------------------------------------------------------- FitMixtureWeights

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fedsearch/core/hierarchy_summaries.h"
 #include "fedsearch/selection/bgloss.h"
 
 namespace fedsearch::selection {
@@ -26,8 +27,21 @@ class HierarchicalTest : public ::testing::Test {
     summaries_.push_back(MakeDb(100, {{"goal", 20}, {"cardiac", 5}}));  // 4
     classifications_ = {heart_, heart_, aids_, soccer_, soccer_};
     for (const auto& s : summaries_) summary_ptrs_.push_back(&s);
-    selector_ = std::make_unique<HierarchicalSelector>(
+    aggregates_ = std::make_unique<core::HierarchySummaries>(
         &hierarchy_, summary_ptrs_, classifications_);
+    selector_ = std::make_unique<HierarchicalSelector>(
+        &hierarchy_, summary_ptrs_, classifications_,
+        CategorySummaries(*aggregates_));
+  }
+
+  // Node n's subtree aggregate, as the Metasearcher passes them.
+  std::vector<const summary::ContentSummary*> CategorySummaries(
+      const core::HierarchySummaries& hs) const {
+    std::vector<const summary::ContentSummary*> out;
+    for (size_t n = 0; n < hierarchy_.size(); ++n) {
+      out.push_back(&hs.aggregate(static_cast<corpus::CategoryId>(n)));
+    }
+    return out;
   }
 
   static summary::ContentSummary MakeDb(
@@ -45,6 +59,7 @@ class HierarchicalTest : public ::testing::Test {
   std::vector<summary::ContentSummary> summaries_;
   std::vector<const summary::ContentSummary*> summary_ptrs_;
   std::vector<corpus::CategoryId> classifications_;
+  std::unique_ptr<core::HierarchySummaries> aggregates_;
   std::unique_ptr<HierarchicalSelector> selector_;
 };
 
@@ -88,7 +103,8 @@ TEST_F(HierarchicalTest, DatabasesClassifiedAtInternalNodesAreReachable) {
   for (const auto& s : summaries_) ptrs.push_back(&s);
   std::vector<corpus::CategoryId> cls = classifications_;
   cls.push_back(health_);
-  HierarchicalSelector selector(&hierarchy_, ptrs, cls);
+  const core::HierarchySummaries hs(&hierarchy_, ptrs, cls);
+  HierarchicalSelector selector(&hierarchy_, ptrs, cls, CategorySummaries(hs));
   BglossScorer bgloss;
   const auto ranking = selector.Select(Query{{"clinical"}}, 3, bgloss);
   ASSERT_EQ(ranking.size(), 1u);
